@@ -26,19 +26,10 @@ var ErrSplineInput = errors.New("dsp: spline needs at least two strictly increas
 // must be strictly increasing and len(xs) == len(ys) >= 2. With exactly two
 // knots the spline degenerates to a line.
 func NewSpline(xs, ys []float64) (*Spline, error) {
+	if err := checkKnots(xs, ys); err != nil {
+		return nil, err
+	}
 	n := len(xs)
-	if n < 2 || len(ys) != n {
-		return nil, fmt.Errorf("%w (got %d xs, %d ys)", ErrSplineInput, len(xs), len(ys))
-	}
-	if !sort.Float64sAreSorted(xs) {
-		return nil, fmt.Errorf("%w: xs not sorted", ErrSplineInput)
-	}
-	for i := 1; i < n; i++ {
-		if xs[i] == xs[i-1] {
-			return nil, fmt.Errorf("%w: duplicate knot x=%g", ErrSplineInput, xs[i])
-		}
-	}
-
 	s := &Spline{
 		xs: append([]float64(nil), xs...),
 		ys: append([]float64(nil), ys...),
@@ -46,26 +37,54 @@ func NewSpline(xs, ys []float64) (*Spline, error) {
 		c:  make([]float64, n),
 		d:  make([]float64, n),
 	}
+	s.fit(make([]float64, 5*n))
+	return s, nil
+}
 
+// checkKnots validates spline knots: at least two, as many ys as xs,
+// and strictly increasing xs.
+func checkKnots(xs, ys []float64) error {
+	n := len(xs)
+	if n < 2 || len(ys) != n {
+		return fmt.Errorf("%w (got %d xs, %d ys)", ErrSplineInput, len(xs), len(ys))
+	}
+	if !sort.Float64sAreSorted(xs) {
+		return fmt.Errorf("%w: xs not sorted", ErrSplineInput)
+	}
+	for i := 1; i < n; i++ {
+		if xs[i] == xs[i-1] {
+			return fmt.Errorf("%w: duplicate knot x=%g", ErrSplineInput, xs[i])
+		}
+	}
+	return nil
+}
+
+// fit computes the per-interval coefficients b, c, d through the
+// validated knots s.xs, s.ys. The coefficient slices (each len(xs)) and
+// work (at least 5·len(xs) values, the tridiagonal solve's scratch)
+// must arrive zeroed.
+func (s *Spline) fit(work []float64) {
+	xs, ys := s.xs, s.ys
+	n := len(xs)
 	if n == 2 {
 		s.b[0] = (ys[1] - ys[0]) / (xs[1] - xs[0])
 		s.b[1] = s.b[0]
-		return s, nil
+		return
 	}
 
 	// Solve the tridiagonal system for the second derivatives (natural
 	// boundary: c[0] = c[n-1] = 0) using the Thomas algorithm.
-	h := make([]float64, n-1)
+	h := work[:n-1]
 	for i := 0; i < n-1; i++ {
 		h[i] = xs[i+1] - xs[i]
 	}
-	alpha := make([]float64, n)
+	alpha := work[n : 2*n]
+	l := work[2*n : 3*n]
+	mu := work[3*n : 4*n]
+	z := work[4*n : 5*n]
 	for i := 1; i < n-1; i++ {
 		alpha[i] = 3*(ys[i+1]-ys[i])/h[i] - 3*(ys[i]-ys[i-1])/h[i-1]
 	}
-	l := make([]float64, n)
-	mu := make([]float64, n)
-	z := make([]float64, n)
 	l[0] = 1
 	for i := 1; i < n-1; i++ {
 		l[i] = 2*(xs[i+1]-xs[i-1]) - h[i-1]*mu[i-1]
@@ -78,7 +97,6 @@ func NewSpline(xs, ys []float64) (*Spline, error) {
 		s.b[j] = (ys[j+1]-ys[j])/h[j] - h[j]*(s.c[j+1]+2*s.c[j])/3
 		s.d[j] = (s.c[j+1] - s.c[j]) / (3 * h[j])
 	}
-	return s, nil
 }
 
 // At evaluates the spline at x. Outside the knot range the boundary cubic
@@ -104,14 +122,31 @@ func (s *Spline) At(x float64) float64 {
 	return s.ys[i] + dx*(s.b[i]+dx*(s.c[i]+dx*s.d[i]))
 }
 
-// InterpolateAt is a convenience wrapper: it fits a natural cubic spline to
-// (xs, ys) and evaluates it at x.
+// maxStackKnots is the largest knot count InterpolateAt fits without
+// allocating: up to it the coefficients and the solve scratch live in
+// fixed arrays on the caller's stack. CSI reports 30 subcarriers.
+const maxStackKnots = 64
+
+// InterpolateAt fits a natural cubic spline to (xs, ys) and evaluates it
+// at x — the same arithmetic as NewSpline(xs, ys).At(x), allocation-free
+// for up to maxStackKnots knots.
 func InterpolateAt(xs, ys []float64, x float64) (float64, error) {
-	sp, err := NewSpline(xs, ys)
-	if err != nil {
+	if len(xs) > maxStackKnots {
+		sp, err := NewSpline(xs, ys)
+		if err != nil {
+			return 0, err
+		}
+		return sp.At(x), nil
+	}
+	if err := checkKnots(xs, ys); err != nil {
 		return 0, err
 	}
-	return sp.At(x), nil
+	n := len(xs)
+	var b, c, d [maxStackKnots]float64
+	var work [5 * maxStackKnots]float64
+	s := Spline{xs: xs, ys: ys, b: b[:n], c: c[:n], d: d[:n]}
+	s.fit(work[:5*n])
+	return s.At(x), nil
 }
 
 // LinearAt performs straight-line interpolation of (xs, ys) at x, used as

@@ -3,6 +3,7 @@ package dsp
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -162,5 +163,46 @@ func TestSplineInterpolationBetweenKnotsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestInterpolateAtMatchesSplineAllocFree pins InterpolateAt's stack
+// path to the allocating NewSpline path bit for bit — the two share one
+// fit, so the spline arithmetic cannot drift between them — across knot
+// counts on both sides of maxStackKnots, and requires the stack path to
+// allocate nothing.
+func TestInterpolateAtMatchesSplineAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for n := 2; n <= maxStackKnots+6; n++ {
+		xs := make([]float64, n)
+		ys := make([]float64, n)
+		x := -float64(n) / 2
+		for i := range xs {
+			x += 0.5 + rng.Float64()
+			xs[i], ys[i] = x, rng.NormFloat64()
+		}
+		sp, err := NewSpline(xs, ys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []float64{0, xs[0] - 1, xs[n-1] + 1, (xs[0] + xs[n-1]) / 2} {
+			got, err := InterpolateAt(xs, ys, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := sp.At(q); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("n=%d x=%v: InterpolateAt %v, spline %v", n, q, got, want)
+			}
+		}
+		if n > maxStackKnots {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			if _, err := InterpolateAt(xs, ys, 0); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("n=%d: InterpolateAt allocates %v times per call", n, allocs)
+		}
 	}
 }

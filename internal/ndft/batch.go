@@ -97,6 +97,9 @@ type solveTask struct {
 	srcRe, srcIm []float64
 	thr          float64
 	cur          int
+	// Per-tick sums the gradient pass books for endTick: ‖Δp‖² and the
+	// restart inner product ⟨y − p⁺, Δp⟩, each accumulated in set order.
+	diffSq, gdot float64
 
 	done bool
 }
@@ -406,13 +409,13 @@ func (t *solveTask) beginIterate(set []int, a0 float64, budget int, allowRestart
 	t.res.Converged = false
 }
 
-// beginTick opens one iteration: retain the previous iterate, pick the
-// gradient's source point, and accumulate its sparse forward residual.
+// beginTick opens one iteration: pick the gradient's source point and
+// the shrink threshold. The previous iterate is not copied: the
+// gradient pass overwrites each working-set cell of p in place and
+// leaves Δp in the cell's delta slot (w.dRe/dIm).
 func (t *solveTask) beginTick() {
 	w := t.w
 	t.iter++
-	copy(w.prevRe, w.pRe)
-	copy(w.prevIm, w.pIm)
 	t.srcRe, t.srcIm = w.pRe, w.pIm
 	if !t.opts.PlainISTA {
 		t.srcRe, t.srcIm = w.yRe, w.yIm
@@ -427,14 +430,15 @@ func (t *solveTask) beginTick() {
 // endTick closes the iteration the shared gradient pass just advanced:
 // momentum/restart bookkeeping, α-continuation, work accounting, and the
 // stopping rules, chaining into the next phase when the iterate ends.
+// The gradient pass already booked ‖Δp‖² and the restart inner product,
+// so the only walk over the working set left here is the extrapolation
+// (FISTA) or support (plain ISTA) pass.
 func (t *solveTask) endTick() {
 	w, set := t.w, t.set
-	var diffSq float64
+	diffSq := t.diffSq
 	w.active = w.active[:0]
 	if t.opts.PlainISTA {
 		for _, j := range set {
-			dr, di := w.pRe[j]-w.prevRe[j], w.pIm[j]-w.prevIm[j]
-			diffSq += dr*dr + di*di
 			if w.pRe[j] != 0 || w.pIm[j] != 0 {
 				w.active = append(w.active, j)
 			}
@@ -454,25 +458,24 @@ func (t *solveTask) endTick() {
 		// family entirely, so restarting there is safe — and it is
 		// what lets warm solves converge in tens of iterations
 		// instead of ringing for hundreds.
-		var gdot float64
-		for _, j := range set {
-			dr, di := w.pRe[j]-w.prevRe[j], w.pIm[j]-w.prevIm[j]
-			diffSq += dr*dr + di*di
-			gdot += (w.yRe[j]-w.pRe[j])*dr + (w.yIm[j]-w.pIm[j])*di
-		}
-		if t.allowRestart && gdot > 0 && t.curAlpha == t.alpha {
+		if t.allowRestart && t.gdot > 0 && t.curAlpha == t.alpha {
 			t.tMom = 1
 		}
 		tNext := (1 + math.Sqrt(1+4*t.tMom*t.tMom)) / 2
 		beta := (t.tMom - 1) / tNext
+		m := t.pl.m
+		pRe, pIm, dRe, dIm := w.pRe[:m], w.pIm[:m], w.dRe[:m], w.dIm[:m]
+		yRe, yIm := w.yRe[:m], w.yIm[:m]
+		active := w.active
 		for _, j := range set {
-			dr, di := w.pRe[j]-w.prevRe[j], w.pIm[j]-w.prevIm[j]
-			w.yRe[j] = w.pRe[j] + beta*dr
-			w.yIm[j] = w.pIm[j] + beta*di
-			if w.yRe[j] != 0 || w.yIm[j] != 0 {
-				w.active = append(w.active, j)
+			yr := pRe[j] + beta*dRe[j]
+			yi := pIm[j] + beta*dIm[j]
+			yRe[j], yIm[j] = yr, yi
+			if yr != 0 || yi != 0 {
+				active = append(active, j)
 			}
 		}
+		w.active = active
 		t.tMom = tNext
 		// Decay the continuation threshold toward the target α,
 		// jumping ahead when the iterate has already stalled at
@@ -604,10 +607,15 @@ func (t *solveTask) gapCheck() (bool, float64) {
 		resSq += w.residRe[i]*w.residRe[i] + w.resIm[i]*w.resIm[i]
 		rh += w.residRe[i]*w.hRe[i] + w.resIm[i]*w.hIm[i]
 	}
+	// The delta slots are free: endTick consumed Δp in the extrapolation
+	// before calling the check, and the next tick rewrites them.
+	setDots(pl.fhRe, pl.fhIm, n, set, w.residRe, w.resIm, w.dRe, w.dIm)
 	var maxSq float64
 	for _, j := range set {
-		gr, gi := adjDot(pl.fhRe[j*n:(j+1)*n], pl.fhIm[j*n:(j+1)*n], w.residRe, w.resIm)
-		if sq := gr*gr + gi*gi; sq > maxSq {
+		gr, gi := w.dRe[j], w.dIm[j]
+		// float64 pins which square a fusing target (arm64) rounds; see
+		// step.
+		if sq := float64(gi*gi) + gr*gr; sq > maxSq {
 			maxSq = sq
 		}
 	}
@@ -933,7 +941,6 @@ func (pl *Plan) laneStage(tasks []*solveTask, gi int, bs *batchState, resTRe, re
 // kernel), keeping every task's dot bit-identical to the scalar path.
 func (pl *Plan) gradFullLanes(tasks []*solveTask, bs *batchState) {
 	n, m := pl.n, pl.m
-	gamma := pl.gamma
 	lw := batchLanes
 	stride := n * lw
 	ng := (len(tasks) + lw - 1) / lw
@@ -993,20 +1000,11 @@ func (pl *Plan) gradFullLanes(tasks []*solveTask, bs *batchState) {
 	for i, t := range tasks {
 		g, b := i/lw, i%lw
 		w := t.w
-		thr := t.thr
-		thrSq := thr * thr
-		srcRe, srcIm := t.srcRe, t.srcIm
 		for j := 0; j < m; j++ {
-			pr := srcRe[j] - gamma*gT[(j*ng+g)*2*lw+b]
-			pi := srcIm[j] - gamma*gT[(j*ng+g)*2*lw+lw+b]
-			if sq := pr*pr + pi*pi; sq <= thrSq { // "<=" also zeroes sq==thrSq==0, avoiding 0/0 below
-				w.pRe[j], w.pIm[j] = 0, 0
-			} else {
-				a := math.Sqrt(sq)
-				sc := (a - thr) / a
-				w.pRe[j], w.pIm[j] = pr*sc, pi*sc
-			}
+			w.dRe[j] = gT[(j*ng+g)*2*lw+b]
+			w.dIm[j] = gT[(j*ng+g)*2*lw+lw+b]
 		}
+		t.step()
 		t.cur = len(t.set)
 	}
 }
@@ -1019,10 +1017,10 @@ func (pl *Plan) gradFullLanes(tasks []*solveTask, bs *batchState) {
 // kernel computes every member's dot in its own lane with the reference
 // scalar chain arithmetic (bit-identical per task). Lanes whose task
 // does not need the row compute a discarded dot — cheaper than masking.
-// The soft-threshold shrink stays scalar per task.
+// Each member's dots land in its delta slots; the soft-threshold step
+// then runs per task (step).
 func (pl *Plan) gradGroupLanes(tasks []*solveTask, gi int, bs *batchState) {
 	n, m := pl.n, pl.m
-	gamma := pl.gamma
 	stride := n * batchLanes
 	if cap(bs.resTRe) < stride {
 		bs.resTRe = make([]float64, stride)
@@ -1041,7 +1039,7 @@ func (pl *Plan) gradGroupLanes(tasks []*solveTask, gi int, bs *batchState) {
 			}
 		}
 		if j == m {
-			return
+			break
 		}
 		kernDot(&pl.fhRe[j*n], &pl.fhIm[j*n], &resTRe[0], &resTIm[0], n, &bs.gr[0], &bs.gi[0])
 		for b, t := range tasks {
@@ -1049,65 +1047,35 @@ func (pl *Plan) gradGroupLanes(tasks []*solveTask, gi int, bs *batchState) {
 				continue
 			}
 			t.cur++
-			w := t.w
-			thr := t.thr
-			thrSq := thr * thr
-			pr := t.srcRe[j] - gamma*bs.gr[b]
-			pi := t.srcIm[j] - gamma*bs.gi[b]
-			if sq := pr*pr + pi*pi; sq <= thrSq { // "<=" also zeroes sq==thrSq==0, avoiding 0/0 below
-				w.pRe[j], w.pIm[j] = 0, 0
-			} else {
-				a := math.Sqrt(sq)
-				sc := (a - thr) / a
-				w.pRe[j], w.pIm[j] = pr*sc, pi*sc
-			}
+			t.w.dRe[j], t.w.dIm[j] = bs.gr[b], bs.gi[b]
 		}
+	}
+	for _, t := range tasks {
+		t.step()
 	}
 }
 
-// gradTask is the single-task gradient step — the scalar reference
-// path, byte-for-byte the arithmetic every other gradPass path must
-// reproduce. The adjoint dot product goes through adjDot, the one
-// tier-dispatched implementation of the fixed-K chain contract (cdot on
-// the scalar tier, the lane kernel otherwise — same bits either way).
-// The shrinkage test compares squared magnitudes so the (dominant)
-// zeroed taps never pay for a square root. Keep this body, the scalar
-// group body, and the vector kernels in sync.
+// gradTask is the single-task gradient step — the reference path every
+// other gradPass path must reproduce: the sparse forward residual, the
+// adjoint dots of the whole working set in one setDots call (one kernel
+// call per tick on the amd64 vector tiers), then the fused shrink pass.
 func (pl *Plan) gradTask(t *solveTask) {
 	n := pl.n
-	gamma := pl.gamma
-	{
-		srcRe, srcIm := t.srcRe, t.srcIm
-		w := t.w
-		// resid = F·src − h̃, accumulated over src's support only: the
-		// soft-thresholded iterate is sparse, so the forward product
-		// touches a few dozen dictionary columns, not the whole grid.
-		pl.forwardResid(w, srcRe, srcIm, w.active)
-		thr := t.thr
-		thrSq := thr * thr
-		rRe, rIm := w.residRe[:n], w.resIm[:n]
-		for _, j := range t.set {
-			gr, gi := adjDot(pl.fhRe[j*n:(j+1)*n], pl.fhIm[j*n:(j+1)*n], rRe, rIm)
-			pr := srcRe[j] - gamma*gr
-			pi := srcIm[j] - gamma*gi
-			if sq := pr*pr + pi*pi; sq <= thrSq { // "<=" also zeroes sq==thrSq==0, avoiding 0/0 below
-				w.pRe[j], w.pIm[j] = 0, 0
-			} else {
-				a := math.Sqrt(sq)
-				sc := (a - thr) / a
-				w.pRe[j], w.pIm[j] = pr*sc, pi*sc
-			}
-		}
-	}
+	w := t.w
+	// resid = F·src − h̃, accumulated over src's support only: the
+	// soft-thresholded iterate is sparse, so the forward product
+	// touches a few dozen dictionary columns, not the whole grid.
+	pl.forwardResid(w, t.srcRe, t.srcIm, w.active)
+	setDots(pl.fhRe, pl.fhIm, n, t.set, w.residRe, w.resIm, w.dRe, w.dIm)
+	t.step()
 }
 
 // gradGroupScalar is the scalar fallback for a lane group when the
 // vector kernel is unavailable: the same row-union walk as the lane
-// path and the same adjDot per task as gradTask, so results are
+// path and the same adjDot per task as setDots, so results are
 // identical on every architecture.
 func (pl *Plan) gradGroupScalar(tasks []*solveTask) {
 	n, m := pl.n, pl.m
-	gamma := pl.gamma
 	for _, t := range tasks {
 		pl.forwardResid(t.w, t.srcRe, t.srcIm, t.w.active)
 	}
@@ -1121,7 +1089,7 @@ func (pl *Plan) gradGroupScalar(tasks []*solveTask) {
 			}
 		}
 		if j == m {
-			return
+			break
 		}
 		aRe, aIm := pl.fhRe[j*n:(j+1)*n], pl.fhIm[j*n:(j+1)*n]
 		for _, t := range tasks {
@@ -1129,22 +1097,62 @@ func (pl *Plan) gradGroupScalar(tasks []*solveTask) {
 				continue
 			}
 			t.cur++
-			srcRe, srcIm := t.srcRe, t.srcIm
 			w := t.w
-			thr := t.thr
-			thrSq := thr * thr
-			gr, gi := adjDot(aRe, aIm, w.residRe[:n], w.resIm[:n])
-			pr := srcRe[j] - gamma*gr
-			pi := srcIm[j] - gamma*gi
-			if sq := pr*pr + pi*pi; sq <= thrSq { // "<=" also zeroes sq==thrSq==0, avoiding 0/0 below
-				w.pRe[j], w.pIm[j] = 0, 0
-			} else {
-				a := math.Sqrt(sq)
-				sc := (a - thr) / a
-				w.pRe[j], w.pIm[j] = pr*sc, pi*sc
-			}
+			w.dRe[j], w.dIm[j] = adjDot(aRe, aIm, w.residRe[:n], w.resIm[:n])
 		}
 	}
+	for _, t := range tasks {
+		t.step()
+	}
+}
+
+// step is the tick's fused elementwise pass, shared by every gradient
+// path. On entry each working-set cell's delta slot holds its adjoint
+// dot (gr, gi); step takes the gradient step from the source point,
+// soft-thresholds it into p, and leaves Δp = p⁺ − p in the slot, booking
+// ‖Δp‖² and the restart inner product ⟨y − p⁺, Δp⟩ in set order as it
+// goes — the sums endTick's restart and stopping tests read. The
+// shrinkage test compares squared magnitudes so the (dominant) zeroed
+// taps never pay for a square root; a NaN gradient fails the test and
+// yields a NaN coefficient.
+//
+// The float64 conversions fix the rounding on targets that fuse
+// multiply-adds (arm64): a conversion rounds its product, so only the
+// other product of a sum may fuse. Which product the compiler fuses in
+// a plain x*x + y*y depends on value numbering across the function, not
+// on the text, so each sum names the product it rounds: the product
+// the compiler rounded before these sums moved here, so fusing targets
+// keep their results. The shrunk coefficients are rounded before Δp is
+// taken. On targets without fusion (amd64) the conversions are no-ops
+// and each sum is the same IEEE addition in either operand order.
+func (t *solveTask) step() {
+	w, m := t.w, t.pl.m
+	gamma := t.pl.gamma
+	thr := t.thr
+	thrSq := thr * thr
+	srcRe, srcIm := t.srcRe[:m], t.srcIm[:m]
+	pRe, pIm := w.pRe[:m], w.pIm[:m]
+	dRe, dIm := w.dRe[:m], w.dIm[:m]
+	var diffSq, gdot float64
+	for _, j := range t.set {
+		sr, si := srcRe[j], srcIm[j]
+		pr := sr - gamma*dRe[j]
+		pi := si - gamma*dIm[j]
+		var nr, ni float64
+		if sq := float64(pr*pr) + pi*pi; sq <= thrSq { // "<=" also zeroes sq==thrSq==0, avoiding 0/0 below
+			nr, ni = 0, 0
+		} else {
+			a := math.Sqrt(sq)
+			sc := (a - thr) / a
+			nr, ni = float64(pr*sc), float64(pi*sc)
+		}
+		dr, di := nr-pRe[j], ni-pIm[j]
+		pRe[j], pIm[j] = nr, ni
+		dRe[j], dIm[j] = dr, di
+		diffSq += float64(di*di) + dr*dr
+		gdot += float64((si-ni)*di) + (sr-nr)*dr
+	}
+	t.diffSq, t.gdot = diffSq, gdot
 }
 
 // norm2Planar is ‖h‖₂ over the planar split — the random-initialization

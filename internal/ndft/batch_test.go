@@ -317,3 +317,80 @@ func FuzzSolveBatchEquivalence(f *testing.F) {
 		}
 	})
 }
+
+// TestStepShrinkSemantics pins the fused tick's soft threshold cell by
+// cell: a gradient step inside the threshold (ties included) zeroes the
+// coefficient, one outside shrinks it toward zero by the threshold, and
+// a NaN gradient yields a NaN coefficient — not zero, because the
+// squared-magnitude test is written so NaN fails it. The booked sums
+// must match the former separate pass over Δp = p⁺ − p.
+func TestStepShrinkSemantics(t *testing.T) {
+	pl, err := NewPlan(wifi.Centers(wifi.Bands5GHz()), TauGrid(3e-9, 1e-9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, m := pl.Dims()
+	if m != 4 {
+		t.Fatalf("grid has %d cells, want 4", m)
+	}
+	w := pl.getWorkspace()
+	defer pl.ws.Put(w)
+	gamma := pl.Gamma()
+	thr := 0.5
+	// Source point y and gradients chosen so y − γ·g lands at: inside
+	// the threshold, exactly on it, outside it (3+4i, |·| = 5), and NaN.
+	srcRe := []float64{0.1, 0.5, 3, 1}
+	srcIm := []float64{0.2, 0, 4, 1}
+	gRe := []float64{0, 0, 0, math.NaN()}
+	gIm := []float64{0, 0, 0, 0}
+	oldRe := []float64{1, 2, 3, 4}
+	oldIm := []float64{0, 0, 0, 0}
+	copy(w.dRe, gRe)
+	copy(w.dIm, gIm)
+	copy(w.pRe, oldRe)
+	copy(w.pIm, oldIm)
+	tk := &solveTask{pl: pl, w: w, set: []int{0, 1, 2, 3}, thr: thr,
+		srcRe: srcRe, srcIm: srcIm}
+	tk.step()
+
+	wantRe := []float64{0, 0, 3 * ((5 - thr) / 5), math.NaN()}
+	wantIm := []float64{0, 0, 4 * ((5 - thr) / 5), math.NaN()}
+	var diffSq, gdot float64
+	for j := 0; j < m; j++ {
+		pr, pi := srcRe[j]-gamma*gRe[j], srcIm[j]-gamma*gIm[j]
+		if j < 3 && (pr != srcRe[j] || pi != srcIm[j]) {
+			t.Fatalf("cell %d: zero gradient moved the source point", j)
+		}
+		if !bothNaNOrEqualBits(w.pRe[j], wantRe[j]) || !bothNaNOrEqualBits(w.pIm[j], wantIm[j]) {
+			t.Errorf("cell %d: p = (%v,%v), want (%v,%v)", j, w.pRe[j], w.pIm[j], wantRe[j], wantIm[j])
+		}
+		dr, di := w.pRe[j]-oldRe[j], w.pIm[j]-oldIm[j]
+		if !bothNaNOrEqualBits(w.dRe[j], dr) || !bothNaNOrEqualBits(w.dIm[j], di) {
+			t.Errorf("cell %d: Δp = (%v,%v), want (%v,%v)", j, w.dRe[j], w.dIm[j], dr, di)
+		}
+		diffSq += float64(di*di) + dr*dr // step's rounding on fusing targets
+		gdot += float64((srcIm[j]-w.pIm[j])*di) + (srcRe[j]-w.pRe[j])*dr
+	}
+	if !math.IsNaN(w.pRe[3]) || !math.IsNaN(w.pIm[3]) {
+		t.Errorf("NaN gradient gave coefficient (%v,%v), want NaN", w.pRe[3], w.pIm[3])
+	}
+	if !bothNaNOrEqualBits(tk.diffSq, diffSq) || !bothNaNOrEqualBits(tk.gdot, gdot) {
+		t.Errorf("booked sums (%v,%v), want (%v,%v)", tk.diffSq, tk.gdot, diffSq, gdot)
+	}
+
+	// Without the NaN cell the sums are finite and must match bit for bit.
+	copy(w.dRe, gRe[:3])
+	copy(w.pRe, oldRe)
+	copy(w.pIm, oldIm)
+	tk.set = []int{0, 1, 2}
+	tk.step()
+	diffSq, gdot = 0, 0
+	for j := 0; j < 3; j++ {
+		dr, di := w.pRe[j]-oldRe[j], w.pIm[j]-oldIm[j]
+		diffSq += float64(di*di) + dr*dr // step's rounding on fusing targets
+		gdot += float64((srcIm[j]-w.pIm[j])*di) + (srcRe[j]-w.pRe[j])*dr
+	}
+	if math.Float64bits(tk.diffSq) != math.Float64bits(diffSq) || math.Float64bits(tk.gdot) != math.Float64bits(gdot) {
+		t.Errorf("booked sums (%v,%v), want (%v,%v)", tk.diffSq, tk.gdot, diffSq, gdot)
+	}
+}

@@ -191,6 +191,34 @@ func adjDot(aRe, aIm, xRe, xIm []float64) (float64, float64) {
 	return (sr0 + p[1]) + (p[2] + p[3]), (si0 + p[5]) + (p[6] + p[7])
 }
 
+// setDots computes the adjoint dot of every working-set row against the
+// residual, (dRe[j], dIm[j]) = Σ Fᴴ[j][k]·r[k] for j in set — the whole
+// adjoint half of one FISTA tick. On the amd64 vector tiers it is one
+// kernel call per tick: with n = 11 or 24 frequencies a row's vector
+// arithmetic is a few instructions, and a call, partials buffer and
+// scalar tail per row would cost more than the row itself. Elsewhere
+// (scalar tier, arm64, ndft_noasm) it is the per-row adjDot loop. Both
+// forms are the fixed-K contract row by row, so the dots are
+// bit-identical to cdot on every tier. set must be ascending (every
+// working set is), and dRe/dIm must cover its last cell.
+func setDots(fhRe, fhIm []float64, n int, set []int, rRe, rIm, dRe, dIm []float64) {
+	if len(set) == 0 {
+		return
+	}
+	last := set[len(set)-1]
+	_ = fhRe[(last+1)*n-1]
+	_ = fhIm[(last+1)*n-1]
+	_, _ = dRe[last], dIm[last]
+	rRe, rIm = rRe[:n], rIm[:n]
+	if hasTickKernels && activeTier != tierScalar {
+		kernSetDots(&fhRe[0], &fhIm[0], n, set, &rRe[0], &rIm[0], &dRe[0], &dIm[0])
+		return
+	}
+	for _, j := range set {
+		dRe[j], dIm[j] = adjDot(fhRe[j*n:(j+1)*n], fhIm[j*n:(j+1)*n], rRe, rIm)
+	}
+}
+
 // axpyCol accumulates one scaled conjugated dictionary column into the
 // residual: dst[i] += conj(row[i])·(cr+i·ci) elementwise, the inner
 // loop of forwardResid, dispatched on the active tier. The operation is

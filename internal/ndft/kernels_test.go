@@ -132,6 +132,157 @@ func FuzzAdjDotEquivalence(f *testing.F) {
 	})
 }
 
+// gaussVec returns k standard normal values.
+func gaussVec(rng *rand.Rand, k int) []float64 {
+	v := make([]float64, k)
+	for i := range v {
+		v[i] = rng.NormFloat64()
+	}
+	return v
+}
+
+// rowSet returns an ascending set of rows in [0, m) of the given
+// shape: 0 empty, 1 a single row, 2 every row, 3 a random subset.
+func rowSet(rng *rand.Rand, m, shape int) []int {
+	var set []int
+	for j := 0; j < m; j++ {
+		if shape == 2 || shape == 3 && rng.Intn(3) == 0 {
+			set = append(set, j)
+		}
+	}
+	if shape == 1 {
+		set = []int{rng.Intn(m)}
+	}
+	return set
+}
+
+// checkSetDots runs setDots over a random dictionary of m rows of n
+// elements (vec draws the data) on every tier the host CPU supports, scalar
+// included, and requires each set row's output to match cdot of that
+// row, and every cell outside the set to keep its sentinel.
+func checkSetDots(t *testing.T, vec func(int) []float64, n, m int, set []int) {
+	t.Helper()
+	fhRe, fhIm, rRe, rIm := vec(n*m), vec(n*m), vec(n), vec(n)
+	sentinel := math.Float64frombits(0x7ff8dead0000beef)
+	for _, tier := range append([]kernelTier{tierScalar}, vectorTiers()...) {
+		prev := setKernelTier(tier)
+		dRe, dIm := make([]float64, m), make([]float64, m)
+		for j := range dRe {
+			dRe[j], dIm[j] = sentinel, sentinel
+		}
+		setDots(fhRe, fhIm, n, set, rRe, rIm, dRe, dIm)
+		setKernelTier(prev)
+		in := make([]bool, m)
+		for _, j := range set {
+			in[j] = true
+			wantR, wantI := cdot(fhRe[j*n:(j+1)*n], fhIm[j*n:(j+1)*n], rRe, rIm)
+			if !bothNaNOrEqualBits(dRe[j], wantR) || !bothNaNOrEqualBits(dIm[j], wantI) {
+				t.Fatalf("tier=%v n=%d m=%d row %d: got (%v,%v) want (%v,%v)",
+					tier, n, m, j, dRe[j], dIm[j], wantR, wantI)
+			}
+		}
+		for j := range in {
+			if !in[j] && (math.Float64bits(dRe[j]) != math.Float64bits(sentinel) ||
+				math.Float64bits(dIm[j]) != math.Float64bits(sentinel)) {
+				t.Fatalf("tier=%v n=%d m=%d: row %d outside the set was written", tier, n, m, j)
+			}
+		}
+	}
+}
+
+// TestSetDotsMatchesCdot pins the fused per-tick adjoint pass to the
+// scalar contract on every tier: every n from 1 to 40 (each n mod 4
+// tail, rows shorter than one vector chunk), each set shape, and plain
+// Gaussian data, where the outputs must be bit-identical outright.
+func TestSetDotsMatchesCdot(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	gauss := func(k int) []float64 { return gaussVec(rng, k) }
+	for n := 1; n <= 40; n++ {
+		for shape := 0; shape < 4; shape++ {
+			m := 1 + rng.Intn(48)
+			checkSetDots(t, gauss, n, m, rowSet(rng, m, shape))
+		}
+	}
+}
+
+// FuzzSetDotsEquivalence fuzzes the fused per-tick adjoint pass against
+// cdot row by row: n from 1 to 40, random ascending row sets (empty,
+// single-row and full-grid included), dictionaries and residuals mixing
+// zeros, denormals and huge magnitudes.
+func FuzzSetDotsEquivalence(f *testing.F) {
+	for n := 1; n <= 12; n++ {
+		f.Add(int64(n), n, uint8(n%4), uint8(3*n))
+	}
+	f.Add(int64(24), 24, uint8(2), uint8(241))
+	f.Add(int64(40), 40, uint8(3), uint8(64))
+	f.Fuzz(func(t *testing.T, seed int64, n int, shape, rows uint8) {
+		if n < 1 || n > 40 {
+			t.Skip()
+		}
+		rng := rand.New(rand.NewSource(seed))
+		m := 1 + int(rows)
+		vec := func(k int) []float64 { return kernelVec(rng, k, false) }
+		checkSetDots(t, vec, n, m, rowSet(rng, m, int(shape%4)))
+	})
+}
+
+// checkForwardResid runs forwardResid over the cols of a random
+// dictionary on every vector tier and requires the residual to match
+// the scalar tier's per-column loop bit for bit (NaNs aside, as for the
+// dots).
+func checkForwardResid(t *testing.T, rng *rand.Rand, n, m int, cols []int) {
+	t.Helper()
+	pl := &Plan{n: n, m: m, fhRe: kernelVec(rng, n*m, false), fhIm: kernelVec(rng, n*m, false)}
+	srcRe, srcIm := kernelVec(rng, m, false), kernelVec(rng, m, false)
+	w := &workspace{hRe: kernelVec(rng, n, false), hIm: kernelVec(rng, n, false)}
+	run := func(tier kernelTier) ([]float64, []float64) {
+		prev := setKernelTier(tier)
+		defer setKernelTier(prev)
+		w.residRe, w.resIm = kernelVec(rng, n, true), kernelVec(rng, n, true)
+		pl.forwardResid(w, srcRe, srcIm, cols)
+		return w.residRe, w.resIm
+	}
+	wantRe, wantIm := run(tierScalar)
+	for _, tier := range vectorTiers() {
+		gotRe, gotIm := run(tier)
+		for i := 0; i < n; i++ {
+			if !bothNaNOrEqualBits(gotRe[i], wantRe[i]) || !bothNaNOrEqualBits(gotIm[i], wantIm[i]) {
+				t.Fatalf("tier=%v n=%d m=%d cols=%d element %d: got (%v,%v) want (%v,%v)",
+					tier, n, m, len(cols), i, gotRe[i], gotIm[i], wantRe[i], wantIm[i])
+			}
+		}
+	}
+}
+
+// TestForwardResidMatchesScalar pins the fused forward residual to the
+// scalar per-column loop on every vector tier: every n from 1 to 40 and
+// each support shape (empty, one column, every column, a random subset).
+func TestForwardResidMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for n := 1; n <= 40; n++ {
+		for shape := 0; shape < 4; shape++ {
+			m := 1 + rng.Intn(48)
+			checkForwardResid(t, rng, n, m, rowSet(rng, m, shape))
+		}
+	}
+}
+
+// FuzzForwardResidEquivalence is the fuzzer-driven variant of
+// TestForwardResidMatchesScalar.
+func FuzzForwardResidEquivalence(f *testing.F) {
+	f.Add(int64(1), 11, uint8(3), uint8(40))
+	f.Add(int64(2), 24, uint8(2), uint8(60))
+	f.Add(int64(3), 3, uint8(1), uint8(5))
+	f.Fuzz(func(t *testing.T, seed int64, n int, shape, rows uint8) {
+		if n < 1 || n > 40 {
+			t.Skip()
+		}
+		rng := rand.New(rand.NewSource(seed))
+		m := 1 + int(rows)
+		checkForwardResid(t, rng, n, m, rowSet(rng, m, int(shape%4)))
+	})
+}
+
 // TestAxpyColMatchesScalar fuzzes the tier-dispatched column
 // accumulation against the scalar forwardResid body: elementwise, so
 // every element must be bit-identical on every available tier,
@@ -297,5 +448,28 @@ func TestForceKernel(t *testing.T) {
 		if VectorKernel() != "avx2" || batchLanes != 4 {
 			t.Fatalf("avx2 force: tier=%q lanes=%d", VectorKernel(), batchLanes)
 		}
+	}
+}
+
+// BenchmarkSetDots times one tick's adjoint pass over the full grid at
+// the pipeline's two frequency counts (see solveShapes), reporting the
+// cost per dictionary row.
+func BenchmarkSetDots(b *testing.B) {
+	for _, n := range []int{11, 24} {
+		b.Run("n="+itoa(n), func(b *testing.B) {
+			const m = 600
+			rng := rand.New(rand.NewSource(int64(n)))
+			// Gaussian data: kernelVec's denormals would time the
+			// microcode slow path instead of the kernel.
+			fhRe, fhIm := gaussVec(rng, n*m), gaussVec(rng, n*m)
+			rRe, rIm := gaussVec(rng, n), gaussVec(rng, n)
+			set := rowSet(rng, m, 2)
+			dRe, dIm := make([]float64, m), make([]float64, m)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				setDots(fhRe, fhIm, n, set, rRe, rIm, dRe, dIm)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*m), "ns/row")
+		})
 	}
 }

@@ -53,6 +53,22 @@ func dotVec4(aRe, aIm, xRe, xIm *float64, k4 int, part *float64)
 //go:noescape
 func axpyCol4(rowRe, rowIm *float64, cr, ci float64, dstRe, dstIm *float64, n4 int)
 
+// setDotsVec4 is the fused per-tick adjoint pass of a single solve, also
+// shared by both amd64 vector tiers: every working-set row's full
+// fixed-K dot (chains, tail, fold) in one call, written to the per-cell
+// slots dRe[j], dIm[j]. See lanes_avx2_amd64.s.
+//
+//go:noescape
+func setDotsVec4(fhRe, fhIm *float64, n int, set *int, nset int, rRe, rIm, dRe, dIm *float64)
+
+// forwardVec4 is the fused forward residual of a single solve, shared
+// by both amd64 vector tiers: r = F·src − h̃ over the support columns in
+// one call, each element accumulated in column order as the scalar
+// forwardResid does. See lanes_avx2_amd64.s.
+//
+//go:noescape
+func forwardVec4(fhRe, fhIm *float64, n int, cols *int, ncols int, srcRe, srcIm, hRe, hIm, rRe, rIm *float64)
+
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
@@ -124,4 +140,16 @@ func kernAdjDot(aRe, aIm, xRe, xIm *float64, k4 int, part *float64) {
 
 func kernAxpyCol(rowRe, rowIm *float64, cr, ci float64, dstRe, dstIm *float64, n4 int) {
 	axpyCol4(rowRe, rowIm, cr, ci, dstRe, dstIm, n4)
+}
+
+// hasTickKernels reports that this build carries the fused per-tick
+// kernels: setDots and forwardResid run them on every vector tier.
+const hasTickKernels = true
+
+func kernSetDots(fhRe, fhIm *float64, n int, set []int, rRe, rIm, dRe, dIm *float64) {
+	setDotsVec4(fhRe, fhIm, n, &set[0], len(set), rRe, rIm, dRe, dIm)
+}
+
+func kernForward(fhRe, fhIm *float64, n int, cols []int, srcRe, srcIm, hRe, hIm, rRe, rIm *float64) {
+	forwardVec4(fhRe, fhIm, n, &cols[0], len(cols), srcRe, srcIm, hRe, hIm, rRe, rIm)
 }

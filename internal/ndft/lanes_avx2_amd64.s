@@ -460,3 +460,336 @@ accheck:
 
 	VZEROUPPER
 	RET
+
+// func setDotsVec4(fhRe, fhIm *float64, n int, set *int, nset int, rRe, rIm, dRe, dIm *float64)
+//
+// The fused per-tick adjoint pass of a single solve, shared by the
+// avx512 and avx2 tiers: for every working-set row j = set[0..nset),
+// the adjoint dot of dictionary row j (n doubles at fhRe/fhIm + j·n)
+// against the residual rRe/rIm, written to dRe[j], dIm[j]. Each row is
+// the whole fixed-K contract in one place, so one call per tick
+// replaces a Go→asm call, a partials buffer and a scalar tail per row:
+//
+//   - the four cdot chains run across the ymm lanes over the k4 = n&^3
+//     main-loop elements (lane c = chain c, element 4i+c);
+//   - the chains are regrouped by component pair — (s0re, s0im),
+//     (s1re, s1im), (s2re, s2im), (s3re, s3im) — so the n mod 4 tail and
+//     the fold each run on both components at once;
+//   - each tail element adds (ar·br − ai·bi, ar·bi + ai·br) into chain 0
+//     in order, the pair formed by one VADDSUBPD of [ar·br, ar·bi] and
+//     [ai·bi, ai·br] (the residual's tail pairs are loaded once per call);
+//   - the pinned fold is (s0+s1)+(s2+s3) on the pairs.
+//
+// Every operation is the scalar reference's, operand for operand up to
+// commutation, so each row is bit-identical to cdot. Rows go two at a
+// time, sharing the residual loads and overlapping their add chains; an
+// odd last row is paired with itself and stored once.
+TEXT ·setDotsVec4(SB), NOSPLIT, $0-72
+	MOVQ fhRe+0(FP), SI
+	MOVQ fhIm+8(FP), DI
+	MOVQ n+16(FP), CX
+	MOVQ set+24(FP), R12
+	MOVQ nset+32(FP), R13
+	MOVQ rRe+40(FP), R8
+	MOVQ rIm+48(FP), R9
+
+	SHLQ $3, CX            // n*8: row pitch and tail end, in bytes
+	MOVQ CX, DX
+	ANDQ $-32, DX          // k4*8: main-loop end, in bytes
+	LEAQ (R12)(R13*8), R13 // set end
+
+	// Tail residual pairs P_k = (br, bi) in X8/X10/X12 and Q_k = (bi, br)
+	// in X9/X11/X13, for the k < n mod 4 tail elements.
+	CMPQ      DX, CX
+	JGE       sdrows
+	VMOVSD    (R8)(DX*1), X8
+	VMOVHPD   (R9)(DX*1), X8, X8
+	VPERMILPD $1, X8, X9
+	LEAQ      8(DX), R14
+	CMPQ      R14, CX
+	JGE       sdrows
+	VMOVSD    8(R8)(DX*1), X10
+	VMOVHPD   8(R9)(DX*1), X10, X10
+	VPERMILPD $1, X10, X11
+	LEAQ      16(DX), R14
+	CMPQ      R14, CX
+	JGE       sdrows
+	VMOVSD    16(R8)(DX*1), X12
+	VMOVHPD   16(R9)(DX*1), X12, X12
+	VPERMILPD $1, X12, X13
+
+sdrows:
+	JMP sdnext
+
+sdpair:
+	// Row A at AX/BX (re/im), row B at R10/R11; B = A for an odd last row.
+	MOVQ  (R12), AX
+	IMULQ CX, AX
+	LEAQ  (DI)(AX*1), BX
+	ADDQ  SI, AX
+	LEAQ  8(R12), R14
+	CMPQ  R14, R13
+	JLT   sdtwo
+	MOVQ  AX, R10
+	MOVQ  BX, R11
+	JMP   sdmain
+
+sdtwo:
+	MOVQ  8(R12), R10
+	IMULQ CX, R10
+	LEAQ  (DI)(R10*1), R11
+	ADDQ  SI, R10
+
+sdmain:
+	VXORPD Y0, Y0, Y0 // A sr chains
+	VXORPD Y1, Y1, Y1 // A si chains
+	VXORPD Y2, Y2, Y2 // B sr chains
+	VXORPD Y3, Y3, Y3 // B si chains
+	XORQ   R14, R14   // byte offset
+	JMP    sdcheck
+
+sdloop:
+	VMOVUPD (R8)(R14*1), Y4 // br
+	VMOVUPD (R9)(R14*1), Y5 // bi
+
+	VMOVUPD (AX)(R14*1), Y6  // ar (A)
+	VMOVUPD (BX)(R14*1), Y7  // ai (A)
+	VMULPD  Y4, Y6, Y14      // ar*br
+	VMULPD  Y5, Y7, Y15      // ai*bi
+	VSUBPD  Y15, Y14, Y14    // ar*br - ai*bi
+	VADDPD  Y14, Y0, Y0
+	VMULPD  Y5, Y6, Y14      // ar*bi
+	VMULPD  Y4, Y7, Y15      // ai*br
+	VADDPD  Y15, Y14, Y14    // ar*bi + ai*br
+	VADDPD  Y14, Y1, Y1
+
+	VMOVUPD (R10)(R14*1), Y6 // ar (B)
+	VMOVUPD (R11)(R14*1), Y7 // ai (B)
+	VMULPD  Y4, Y6, Y14
+	VMULPD  Y5, Y7, Y15
+	VSUBPD  Y15, Y14, Y14
+	VADDPD  Y14, Y2, Y2
+	VMULPD  Y5, Y6, Y14
+	VMULPD  Y4, Y7, Y15
+	VADDPD  Y15, Y14, Y14
+	VADDPD  Y14, Y3, Y3
+
+	ADDQ $32, R14
+
+sdcheck:
+	CMPQ R14, DX
+	JLT  sdloop
+
+	// Regroup into component pairs. A: X4 = (s0re, s0im), X5 = s1 pair,
+	// X6 = s2+s3 pair. B: X0, X1, X2 likewise.
+	VUNPCKLPD    Y1, Y0, Y4 // (r0, i0, r2, i2)
+	VUNPCKHPD    Y1, Y0, Y5 // (r1, i1, r3, i3)
+	VEXTRACTF128 $1, Y4, X6
+	VEXTRACTF128 $1, Y5, X7
+	VADDPD       X7, X6, X6 // s2 + s3
+	VUNPCKLPD    Y3, Y2, Y0
+	VUNPCKHPD    Y3, Y2, Y1
+	VEXTRACTF128 $1, Y0, X2
+	VEXTRACTF128 $1, Y1, X3
+	VADDPD       X3, X2, X2
+
+	// Tail: chain 0 += (ar*br - ai*bi, ar*bi + ai*br), element by element.
+	CMPQ      DX, CX
+	JGE       sdfold
+	VMOVDDUP  (AX)(DX*1), X3  // (ar, ar)
+	VMOVDDUP  (BX)(DX*1), X7  // (ai, ai)
+	VMULPD    X8, X3, X3      // (ar*br, ar*bi)
+	VMULPD    X9, X7, X7      // (ai*bi, ai*br)
+	VADDSUBPD X7, X3, X3      // (ar*br - ai*bi, ar*bi + ai*br)
+	VADDPD    X3, X4, X4
+	VMOVDDUP  (R10)(DX*1), X14
+	VMOVDDUP  (R11)(DX*1), X15
+	VMULPD    X8, X14, X14
+	VMULPD    X9, X15, X15
+	VADDSUBPD X15, X14, X14
+	VADDPD    X14, X0, X0
+	LEAQ      8(DX), R14
+	CMPQ      R14, CX
+	JGE       sdfold
+	VMOVDDUP  8(AX)(DX*1), X3
+	VMOVDDUP  8(BX)(DX*1), X7
+	VMULPD    X10, X3, X3
+	VMULPD    X11, X7, X7
+	VADDSUBPD X7, X3, X3
+	VADDPD    X3, X4, X4
+	VMOVDDUP  8(R10)(DX*1), X14
+	VMOVDDUP  8(R11)(DX*1), X15
+	VMULPD    X10, X14, X14
+	VMULPD    X11, X15, X15
+	VADDSUBPD X15, X14, X14
+	VADDPD    X14, X0, X0
+	LEAQ      16(DX), R14
+	CMPQ      R14, CX
+	JGE       sdfold
+	VMOVDDUP  16(AX)(DX*1), X3
+	VMOVDDUP  16(BX)(DX*1), X7
+	VMULPD    X12, X3, X3
+	VMULPD    X13, X7, X7
+	VADDSUBPD X7, X3, X3
+	VADDPD    X3, X4, X4
+	VMOVDDUP  16(R10)(DX*1), X14
+	VMOVDDUP  16(R11)(DX*1), X15
+	VMULPD    X12, X14, X14
+	VMULPD    X13, X15, X15
+	VADDSUBPD X15, X14, X14
+	VADDPD    X14, X0, X0
+
+sdfold:
+	// Pinned fold (s0+s1)+(s2+s3): X4 = (grA, giA), X0 = (grB, giB).
+	VADDPD X5, X4, X4
+	VADDPD X6, X4, X4
+	VADDPD X1, X0, X0
+	VADDPD X2, X0, X0
+
+	MOVQ    dRe+56(FP), R10
+	MOVQ    dIm+64(FP), R11
+	MOVQ    (R12), AX
+	VMOVSD  X4, (R10)(AX*8)
+	VMOVHPD X4, (R11)(AX*8)
+	LEAQ    8(R12), R14
+	CMPQ    R14, R13
+	JGE     sdlast
+	MOVQ    8(R12), AX
+	VMOVSD  X0, (R10)(AX*8)
+	VMOVHPD X0, (R11)(AX*8)
+
+sdlast:
+	ADDQ $16, R12
+
+sdnext:
+	CMPQ R12, R13
+	JLT  sdpair
+
+	VZEROUPPER
+	RET
+
+// func forwardVec4(fhRe, fhIm *float64, n int, cols *int, ncols int, srcRe, srcIm, hRe, hIm, rRe, rIm *float64)
+//
+// The fused forward residual of a single solve, shared by the avx512
+// and avx2 tiers: r = F·src − h̃ over the support cols[0..ncols), in one
+// call per tick. Each element's accumulation starts from −h (an exact
+// sign flip) and adds the support columns' terms in cols order — the
+// per-element order of the scalar forwardResid, which walks columns in
+// the outer loop — in the sign-folded axpyCol form (rRe += ar*cr +
+// rowIm*ci, rIm += ar*ci − rowIm*cr; exact, see axpy8avx512). The
+// accumulators stay in registers across the columns: ymm lanes over
+// the n&^3 main elements, scalar ops over the n mod 4 tail.
+TEXT ·forwardVec4(SB), NOSPLIT, $0-88
+	MOVQ fhRe+0(FP), SI
+	MOVQ fhIm+8(FP), DI
+	MOVQ n+16(FP), CX
+	MOVQ cols+24(FP), R12
+	MOVQ ncols+32(FP), R13
+	MOVQ srcRe+40(FP), R8
+	MOVQ srcIm+48(FP), R9
+	MOVQ hRe+56(FP), R10
+	MOVQ hIm+64(FP), R11
+
+	SHLQ $3, CX            // n*8: row pitch and element end, in bytes
+	MOVQ CX, DX
+	ANDQ $-32, DX          // n4*8: vector end, in bytes
+	LEAQ (R12)(R13*8), R13 // cols end
+
+	// Y15 = sign-bit mask in every lane.
+	VPCMPEQQ Y15, Y15, Y15
+	VPSLLQ   $63, Y15, Y15
+
+	XORQ BX, BX // element offset, bytes
+	JMP  fvcheck
+
+fvchunk:
+	VMOVUPD (R10)(BX*1), Y0
+	VXORPD  Y15, Y0, Y0     // rRe = -hRe
+	VMOVUPD (R11)(BX*1), Y1
+	VXORPD  Y15, Y1, Y1     // rIm = -hIm
+	MOVQ    R12, R14
+	JMP     fvccheck
+
+fvcol:
+	MOVQ         (R14), AX     // j
+	VBROADCASTSD (R8)(AX*8), Y2 // cr
+	VBROADCASTSD (R9)(AX*8), Y3 // ci
+	IMULQ        CX, AX
+	ADDQ         BX, AX         // j*n*8 + i*8
+	VMOVUPD      (SI)(AX*1), Y4 // ar
+	VMOVUPD      (DI)(AX*1), Y5 // rowIm
+
+	// rRe += ar*cr + rowIm*ci
+	VMULPD Y2, Y4, Y6
+	VMULPD Y3, Y5, Y7
+	VADDPD Y7, Y6, Y6
+	VADDPD Y6, Y0, Y0
+
+	// rIm += ar*ci − rowIm*cr
+	VMULPD Y3, Y4, Y6
+	VMULPD Y2, Y5, Y7
+	VSUBPD Y7, Y6, Y6
+	VADDPD Y6, Y1, Y1
+
+	ADDQ $8, R14
+
+fvccheck:
+	CMPQ R14, R13
+	JLT  fvcol
+
+	MOVQ    rRe+72(FP), AX
+	VMOVUPD Y0, (AX)(BX*1)
+	MOVQ    rIm+80(FP), AX
+	VMOVUPD Y1, (AX)(BX*1)
+	ADDQ    $32, BX
+
+fvcheck:
+	CMPQ BX, DX
+	JLT  fvchunk
+	JMP  fvtcheck
+
+fvtail:
+	VMOVSD (R10)(BX*1), X0
+	VXORPD X15, X0, X0
+	VMOVSD (R11)(BX*1), X1
+	VXORPD X15, X1, X1
+	MOVQ   R12, R14
+	JMP    fvtccheck
+
+fvtcol:
+	MOVQ   (R14), AX
+	VMOVSD (R8)(AX*8), X2 // cr
+	VMOVSD (R9)(AX*8), X3 // ci
+	IMULQ  CX, AX
+	ADDQ   BX, AX
+	VMOVSD (SI)(AX*1), X4 // ar
+	VMOVSD (DI)(AX*1), X5 // rowIm
+
+	VMULSD X2, X4, X6
+	VMULSD X3, X5, X7
+	VADDSD X7, X6, X6
+	VADDSD X6, X0, X0
+
+	VMULSD X3, X4, X6
+	VMULSD X2, X5, X7
+	VSUBSD X7, X6, X6
+	VADDSD X6, X1, X1
+
+	ADDQ $8, R14
+
+fvtccheck:
+	CMPQ R14, R13
+	JLT  fvtcol
+
+	MOVQ   rRe+72(FP), AX
+	VMOVSD X0, (AX)(BX*1)
+	MOVQ   rIm+80(FP), AX
+	VMOVSD X1, (AX)(BX*1)
+	ADDQ   $8, BX
+
+fvtcheck:
+	CMPQ BX, CX
+	JLT  fvtail
+
+	VZEROUPPER
+	RET

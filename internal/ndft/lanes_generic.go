@@ -31,3 +31,15 @@ func kernAdjDot(aRe, aIm, xRe, xIm *float64, k4 int, part *float64) {
 func kernAxpyCol(rowRe, rowIm *float64, cr, ci float64, dstRe, dstIm *float64, n4 int) {
 	panic("ndft: vector kernel called on scalar tier")
 }
+
+// hasTickKernels is false: setDots keeps the per-row adjDot loop and
+// forwardResid the per-column axpyCol loop here.
+const hasTickKernels = false
+
+func kernSetDots(fhRe, fhIm *float64, n int, set []int, rRe, rIm, dRe, dIm *float64) {
+	panic("ndft: fused tick kernel not built")
+}
+
+func kernForward(fhRe, fhIm *float64, n int, cols []int, srcRe, srcIm, hRe, hIm, rRe, rIm *float64) {
+	panic("ndft: fused tick kernel not built")
+}

@@ -67,7 +67,7 @@ type workspace struct {
 	hRe, hIm       []float64 // measurement, planar (n)
 	residRe, resIm []float64 // F·src − h̃ (n)
 	pRe, pIm       []float64 // iterate (m)
-	prevRe, prevIm []float64 // previous iterate (m)
+	dRe, dIm       []float64 // per-cell tick slots: adjoint dots, then Δp (m)
 	yRe, yIm       []float64 // FISTA extrapolation point (m)
 	active         []int     // support of the extrapolation point (≤ m)
 	idx            []int     // restricted working set for warm solves (≤ m)
@@ -121,7 +121,7 @@ func NewPlan(freqs, taus []float64) (*Plan, error) {
 			hRe: make([]float64, n), hIm: make([]float64, n),
 			residRe: make([]float64, n), resIm: make([]float64, n),
 			pRe: make([]float64, m), pIm: make([]float64, m),
-			prevRe: make([]float64, m), prevIm: make([]float64, m),
+			dRe: make([]float64, m), dIm: make([]float64, m),
 			yRe: make([]float64, m), yIm: make([]float64, m),
 			active: make([]int, 0, m), idx: make([]int, 0, m),
 			supp: make([]int, 0, m), gsupp: make([]int, 0, m),
@@ -223,10 +223,24 @@ func (pl *Plan) kktViolated(w *workspace, alpha float64) bool {
 // only the dictionary columns in src's support (ascending, so the
 // accumulation order — hence the result — is deterministic). Each column
 // F[·][j] is read as the conjugate of adjoint row j, which is
-// contiguous; the elementwise accumulation goes through axpyCol, which
-// vectorizes it on the active kernel tier without changing a bit.
+// contiguous. On the amd64 vector tiers the whole product is one kernel
+// call that keeps each element's accumulator in a register across the
+// columns; elsewhere the elementwise accumulation goes through axpyCol
+// per column. Either way every element adds the same terms in the same
+// order, so the residual is bit-identical on every tier.
 func (pl *Plan) forwardResid(w *workspace, srcRe, srcIm []float64, active []int) {
 	n := pl.n
+	if hasTickKernels && activeTier != tierScalar && len(active) > 0 {
+		last := active[len(active)-1]
+		_ = pl.fhRe[(last+1)*n-1]
+		_ = pl.fhIm[(last+1)*n-1]
+		_, _ = srcRe[last], srcIm[last]
+		hRe, hIm := w.hRe[:n], w.hIm[:n]
+		rRe, rIm := w.residRe[:n], w.resIm[:n]
+		kernForward(&pl.fhRe[0], &pl.fhIm[0], n, active, &srcRe[0], &srcIm[0],
+			&hRe[0], &hIm[0], &rRe[0], &rIm[0])
+		return
+	}
 	for i := 0; i < n; i++ {
 		w.residRe[i] = -w.hRe[i]
 		w.resIm[i] = -w.hIm[i]

@@ -272,6 +272,85 @@ func BenchmarkPlanSolveWarmStart(b *testing.B) {
 	}
 }
 
+// shapeCase is one of the plan geometries the tracking pipeline solves
+// on: a band group's n carrier frequencies in its channel-power domain
+// p (h̃ᵖ delays are p× the true ones), on the full delay grid (60 ns,
+// m = 600) or the alias-refit window (24 ns, m = 241), both at a 0.1 ns
+// true-delay step.
+type shapeCase struct {
+	name   string
+	bands  []wifi.Band
+	power  float64
+	maxTau float64
+}
+
+// solveShapes lists the four plan shapes a walking full-pipeline session
+// solves on, most frequent first: measured over the benchmark's sweep
+// workload, 52 / 37 / 7 / 4 % of FISTA ticks ran on them in this order,
+// and 68% of all ticks walked the full grid.
+var solveShapes = []shapeCase{
+	{"n=11,m=600", wifi.Bands24GHz(), 8, 60e-9},
+	{"n=24,m=600", wifi.Bands5GHz(), 2, 60e-9},
+	{"n=24,m=241", wifi.Bands5GHz(), 2, 24e-9},
+	{"n=11,m=241", wifi.Bands24GHz(), 8, 24e-9},
+}
+
+// BenchmarkPlanSolveShapes times Plan.Solve on the pipeline's real plan
+// shapes (BenchmarkPlanSolve{Cold,Warm}Start use the 35-band Fig-4 plan
+// only): three paths inside the grid plus complex noise, the gap rule
+// fed the noise norm as the tracker feeds it, cold and warm-started
+// from the previous sweep's profile. Steady-state solves must report 0
+// allocs/op.
+func BenchmarkPlanSolveShapes(b *testing.B) {
+	for _, sc := range solveShapes {
+		freqs := wifi.Centers(sc.bands)
+		pl, err := NewPlan(freqs, TauGrid(sc.power*sc.maxTau, sc.power*0.1e-9))
+		if err != nil {
+			b.Fatal(err)
+		}
+		n, _ := pl.Dims()
+		const sigma = 0.05
+		rng := rand.New(rand.NewSource(17))
+		delays := []float64{sc.power * 3.1, sc.power * 7.4, sc.power * 12.6}
+		noisy := func() dsp.Vec {
+			h := synthChannel(freqs, delays, []float64{1, 0.6, 0.4})
+			for i := range h {
+				h[i] += complex(rng.NormFloat64()*sigma, rng.NormFloat64()*sigma)
+			}
+			return h
+		}
+		opts := InvertOptions{MaxIter: 1200, NoiseFloor: sigma * math.Sqrt(2*float64(n))}
+		seed, err := pl.Solve(SolveRequest{H: noisy(), InvertOptions: opts})
+		if err != nil {
+			b.Fatal(err)
+		}
+		h := noisy()
+		for _, mode := range []struct {
+			name string
+			warm dsp.Vec
+		}{{"cold", nil}, {"warm", seed.Profile}} {
+			b.Run(sc.name+"/"+mode.name, func(b *testing.B) {
+				// One untimed solve fills the plan's pools and the
+				// recycled Result, so even -benchtime=1x reports the
+				// steady state.
+				dst := &Result{}
+				if _, err := pl.Solve(SolveRequest{H: h, Warm: mode.warm, Dst: dst, InvertOptions: opts}); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					res, err := pl.Solve(SolveRequest{H: h, Warm: mode.warm, Dst: dst, InvertOptions: opts})
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.ReportMetric(float64(res.Iterations), "iters/op")
+				}
+			})
+		}
+	}
+}
+
 // TestGapStopWarmColdEquivalence is the PR-5 acceptance fixture for the
 // noise-adaptive stopping rule, at three SNRs: with a per-sweep noise
 // floor supplied, both cold and warm solves must stop early via the

@@ -129,6 +129,11 @@ func (w *Wheel) Cancel(t *WheelTimer) bool {
 		return false
 	}
 	t.state = timerCanceled
+	// A canceled timer stays filed in its slot until the wheel next
+	// visits it, which on an idle or virtual-time wheel can be never;
+	// dropping the callback keeps it from holding the session it
+	// closes over alive that long.
+	t.fn = nil
 	w.n--
 	return true
 }
@@ -239,7 +244,9 @@ func (w *Wheel) Advance(to time.Duration) int {
 			w.fired++
 			fired++
 			obsTimerFires.Inc()
-			tm.fn()
+			fn := tm.fn
+			tm.fn = nil // the scratch and slot arrays keep fired timers
+			fn()
 		}
 	}
 	return fired

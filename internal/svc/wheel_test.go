@@ -2,7 +2,9 @@ package svc
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -94,6 +96,38 @@ func TestWheelCancel(t *testing.T) {
 	if w.Cancel(nil) {
 		t.Error("Cancel(nil) returned true")
 	}
+}
+
+// TestWheelReleasesCallbacks pins that the wheel stops referencing a
+// callback once it can no longer run: a canceled timer stays filed in
+// its slot until the wheel next visits it (never, on a wheel that jumps
+// idle time), and fired timers linger in the slot and scratch arrays.
+// A session retired by Cancel must not stay reachable through either,
+// or the daemon's live heap grows with every device it has retired.
+func TestWheelReleasesCallbacks(t *testing.T) {
+	w := NewWheel(time.Millisecond)
+	var released atomic.Int32
+	capture := func() func() {
+		state := new([1 << 10]float64)
+		runtime.SetFinalizer(state, func(*[1 << 10]float64) { released.Add(1) })
+		return func() { state[0]++ }
+	}
+	canceled := w.Schedule(time.Hour, capture())
+	w.Schedule(2*time.Millisecond, capture())
+	if !w.Cancel(canceled) {
+		t.Fatal("Cancel of a pending timer returned false")
+	}
+	if w.Advance(5*time.Millisecond) != 1 {
+		t.Fatal("due timer did not fire")
+	}
+	for i := 0; i < 50 && released.Load() < 2; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if n := released.Load(); n != 2 {
+		t.Errorf("%d of 2 callbacks released while the wheel is live", n)
+	}
+	runtime.KeepAlive(w)
 }
 
 // TestWheelPastDue pins the clamp: scheduling at or before Now fires on

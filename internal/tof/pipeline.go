@@ -48,9 +48,13 @@ func ZeroSubcarrier(m csi.Measurement, power int, mode InterpMode) (complex128, 
 		return 0, fmt.Errorf("tof: malformed measurement (%d subcarriers, %d values)", n, len(m.Values))
 	}
 
+	// Scratch for up to zeroScratch subcarriers lives on the stack, so
+	// the per-band fold allocates nothing.
+	var valsBuf [zeroScratch]complex128
+	var xsBuf, magsBuf, phasesBuf [zeroScratch]float64
 	vals := m.Values
 	if power != 1 {
-		vals = dsp.Power(make(dsp.Vec, n), m.Values, power)
+		vals = dsp.Power(scratch(valsBuf[:], n), m.Values, power)
 	}
 
 	if mode == InterpNone {
@@ -70,9 +74,9 @@ func ZeroSubcarrier(m csi.Measurement, power int, mode InterpMode) (complex128, 
 	// removing it keeps every step small; since the query point is k=0,
 	// no re-rotation is needed afterwards.
 	slope := estimateSlope(m.Subcarriers, vals)
-	xs := make([]float64, n)
-	mags := make([]float64, n)
-	phases := make([]float64, n)
+	xs := scratch(xsBuf[:], n)
+	mags := scratch(magsBuf[:], n)
+	phases := scratch(phasesBuf[:], n)
 	for i, k := range m.Subcarriers {
 		xs[i] = float64(k)
 		mags[i] = cmplx.Abs(vals[i])
@@ -142,6 +146,18 @@ func bandPowers(quirked, fwdOnly bool) (power, total int) {
 		total = 2 * power
 	}
 	return power, total
+}
+
+// zeroScratch is the subcarrier count up to which ZeroSubcarrier keeps
+// its scratch on the stack (CSI reports 30 subcarriers per band).
+const zeroScratch = 64
+
+// scratch returns buf[:n], or a fresh slice when n exceeds buf.
+func scratch[T any](buf []T, n int) []T {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]T, n)
 }
 
 // IsQuirked reports whether band b needs the 4th-power workaround on a

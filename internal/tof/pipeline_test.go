@@ -233,3 +233,24 @@ func TestIsQuirked(t *testing.T) {
 		t.Error("5 GHz band quirked")
 	}
 }
+
+// TestZeroSubcarrierAllocsNothing holds the per-band fold to zero
+// allocations: the channel-power, knot, magnitude and phase scratch and
+// the spline fit all live on the stack for CSI-sized bands, at every
+// channel power the estimator uses and for both interpolators.
+func TestZeroSubcarrierAllocsNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	rx, tx := cleanRadio(rng), cleanRadio(rng)
+	m := rx.Measure(rng, singlePath(7), band5(), csi.MeasureOptions{SNRdB: 30, TX: tx})
+	for _, power := range []int{1, 2, 4} {
+		for _, mode := range []InterpMode{InterpSpline, InterpLinear} {
+			if allocs := testing.AllocsPerRun(20, func() {
+				if _, err := ZeroSubcarrier(m, power, mode); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 0 {
+				t.Errorf("power %d mode %d: ZeroSubcarrier allocates %v times per call", power, mode, allocs)
+			}
+		}
+	}
+}
