@@ -1122,9 +1122,11 @@ func (pl *Plan) gradGroupScalar(tasks []*solveTask) {
 // a plain x*x + y*y depends on value numbering across the function, not
 // on the text, so each sum names the product it rounds: the product
 // the compiler rounded before these sums moved here, so fusing targets
-// keep their results. The shrunk coefficients are rounded before Δp is
-// taken. On targets without fusion (amd64) the conversions are no-ops
-// and each sum is the same IEEE addition in either operand order.
+// keep their results. ‖Δp‖² came from two loops that rounded different
+// squares (di² on the FISTA path, dr² on the plain-ISTA one), so the
+// plain flag picks the form. The shrunk coefficients are rounded before
+// Δp is taken. On targets without fusion (amd64) the conversions are
+// no-ops and each sum is the same IEEE addition in either operand order.
 func (t *solveTask) step() {
 	w, m := t.w, t.pl.m
 	gamma := t.pl.gamma
@@ -1133,6 +1135,7 @@ func (t *solveTask) step() {
 	srcRe, srcIm := t.srcRe[:m], t.srcIm[:m]
 	pRe, pIm := w.pRe[:m], w.pIm[:m]
 	dRe, dIm := w.dRe[:m], w.dIm[:m]
+	plain := t.opts.PlainISTA
 	var diffSq, gdot float64
 	for _, j := range t.set {
 		sr, si := srcRe[j], srcIm[j]
@@ -1149,7 +1152,11 @@ func (t *solveTask) step() {
 		dr, di := nr-pRe[j], ni-pIm[j]
 		pRe[j], pIm[j] = nr, ni
 		dRe[j], dIm[j] = dr, di
-		diffSq += float64(di*di) + dr*dr
+		if plain {
+			diffSq += float64(dr*dr) + di*di
+		} else {
+			diffSq += float64(di*di) + dr*dr
+		}
 		gdot += float64((si-ni)*di) + (sr-nr)*dr
 	}
 	t.diffSq, t.gdot = diffSq, gdot

@@ -221,7 +221,8 @@ func setDots(fhRe, fhIm []float64, n int, set []int, rRe, rIm, dRe, dIm []float6
 
 // axpyCol accumulates one scaled conjugated dictionary column into the
 // residual: dst[i] += conj(row[i])·(cr+i·ci) elementwise, the inner
-// loop of forwardResid, dispatched on the active tier. The operation is
+// loop of forwardResid where it has no fused kernel (hasTickKernels
+// false), dispatched on the active tier. The operation is
 // elementwise — no accumulation chains — so the vector form is
 // trivially bit-identical to the scalar loop (the sign-folded form
 // dstRe += ar·cr + rowIm·ci is exact: IEEE negation is exact and
@@ -232,7 +233,7 @@ func axpyCol(rowRe, rowIm []float64, cr, ci float64, dstRe, dstIm []float64) {
 	dstRe = dstRe[:n]
 	dstIm = dstIm[:n]
 	i := 0
-	if activeTier != tierScalar && n >= 8 {
+	if !hasTickKernels && activeTier != tierScalar && n >= 8 {
 		n4 := n &^ 3
 		kernAxpyCol(&rowRe[0], &rowIm[0], cr, ci, &dstRe[0], &dstIm[0], n4)
 		i = n4

@@ -286,7 +286,10 @@ func FuzzForwardResidEquivalence(f *testing.F) {
 // TestAxpyColMatchesScalar fuzzes the tier-dispatched column
 // accumulation against the scalar forwardResid body: elementwise, so
 // every element must be bit-identical on every available tier,
-// including odd tails and lengths below the vector cutover.
+// including odd tails and lengths below the vector cutover. Only arm64
+// has a vector column kernel; on amd64, where forwardResid runs
+// forwardVec4 instead (TestForwardResidMatchesScalar), axpyCol is its
+// scalar loop on every tier.
 func TestAxpyColMatchesScalar(t *testing.T) {
 	tiers := vectorTiers()
 	if len(tiers) == 0 {

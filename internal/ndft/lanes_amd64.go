@@ -35,8 +35,7 @@ func axpy8avx512(rowRe, rowIm, coefRe, coefIm, resTRe, resTIm *float64, n int, m
 // opmask — axpy4avx2 emulates the merge-masked store with VMASKMOVPD
 // against an expanded lane mask), plus the single-solve kernels shared
 // by both amd64 vector tiers: dotVec4 runs the four cdot accumulator
-// chains across ymm lanes and axpyCol4 the elementwise column
-// accumulation. See lanes_avx2_amd64.s.
+// chains across ymm lanes. See lanes_avx2_amd64.s.
 //
 //go:noescape
 func dot4avx2(rowRe, rowIm, resTRe, resTIm *float64, n int, grOut, giOut *float64)
@@ -49,9 +48,6 @@ func axpy4avx2(rowRe, rowIm, coefRe, coefIm, resTRe, resTIm *float64, n int, mas
 
 //go:noescape
 func dotVec4(aRe, aIm, xRe, xIm *float64, k4 int, part *float64)
-
-//go:noescape
-func axpyCol4(rowRe, rowIm *float64, cr, ci float64, dstRe, dstIm *float64, n4 int)
 
 // setDotsVec4 is the fused per-tick adjoint pass of a single solve, also
 // shared by both amd64 vector tiers: every working-set row's full
@@ -130,16 +126,18 @@ func kernAxpy(rowRe, rowIm, coefRe, coefIm, resTRe, resTIm *float64, n int, mask
 	}
 }
 
-// kernAdjDot / kernAxpyCol are the single-solve kernels: the ymm forms
-// serve both amd64 vector tiers (the adjoint chains are four wide by
+// kernAdjDot is the single-solve adjoint kernel: the ymm form serves
+// both amd64 vector tiers (the adjoint chains are four wide by
 // contract, so zmm registers would buy nothing). Never called on the
 // scalar tier.
 func kernAdjDot(aRe, aIm, xRe, xIm *float64, k4 int, part *float64) {
 	dotVec4(aRe, aIm, xRe, xIm, k4, part)
 }
 
+// kernAxpyCol is never reached here: forwardResid runs forwardVec4 on
+// both vector tiers, so axpyCol keeps only its scalar loop on amd64.
 func kernAxpyCol(rowRe, rowIm *float64, cr, ci float64, dstRe, dstIm *float64, n4 int) {
-	axpyCol4(rowRe, rowIm, cr, ci, dstRe, dstIm, n4)
+	panic("ndft: per-column kernel not built; forwardResid uses forwardVec4")
 }
 
 // hasTickKernels reports that this build carries the fused per-tick

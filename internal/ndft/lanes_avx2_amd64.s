@@ -411,56 +411,6 @@ vcheck:
 	VZEROUPPER
 	RET
 
-// func axpyCol4(rowRe, rowIm *float64, cr, ci float64, dstRe, dstIm *float64, n4 int)
-//
-// The single-solve forward column accumulation, shared by the avx512
-// and avx2 tiers: dst[i] += conj(row[i])·(cr+i·ci) elementwise across
-// ymm lanes, in the sign-folded form of the scalar forwardResid body
-// (dstRe += ar*cr + rowIm*ci, dstIm += ar*ci − rowIm*cr — exact; see
-// axpy8avx512). Elementwise, so there are no chains to preserve; the Go
-// wrapper (axpyCol) handles the n&3 tail.
-TEXT ·axpyCol4(SB), NOSPLIT, $0-56
-	MOVQ         rowRe+0(FP), SI
-	MOVQ         rowIm+8(FP), DI
-	VBROADCASTSD cr+16(FP), Y2
-	VBROADCASTSD ci+24(FP), Y3
-	MOVQ         dstRe+32(FP), R8
-	MOVQ         dstIm+40(FP), R9
-	MOVQ         n4+48(FP), CX
-
-	XORQ AX, AX // byte offset
-	SHLQ $3, CX // n4*8 bytes
-	JMP  accheck
-
-acloop:
-	VMOVUPD (SI)(AX*1), Y4 // ar
-	VMOVUPD (DI)(AX*1), Y5 // rowIm
-
-	// dstRe += ar*cr + rowIm*ci
-	VMULPD  Y2, Y4, Y6
-	VMULPD  Y3, Y5, Y7
-	VADDPD  Y7, Y6, Y6
-	VMOVUPD (R8)(AX*1), Y8
-	VADDPD  Y6, Y8, Y8
-	VMOVUPD Y8, (R8)(AX*1)
-
-	// dstIm += ar*ci − rowIm*cr
-	VMULPD  Y3, Y4, Y6
-	VMULPD  Y2, Y5, Y7
-	VSUBPD  Y7, Y6, Y6
-	VMOVUPD (R9)(AX*1), Y8
-	VADDPD  Y6, Y8, Y8
-	VMOVUPD Y8, (R9)(AX*1)
-
-	ADDQ $32, AX
-
-accheck:
-	CMPQ AX, CX
-	JLT  acloop
-
-	VZEROUPPER
-	RET
-
 // func setDotsVec4(fhRe, fhIm *float64, n int, set *int, nset int, rRe, rIm, dRe, dIm *float64)
 //
 // The fused per-tick adjoint pass of a single solve, shared by the
